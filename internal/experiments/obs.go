@@ -40,7 +40,7 @@ type ObsResult struct {
 	TraceSHA string
 
 	// ShardInvariant reports whether trace, Prometheus, and CSV exports were
-	// byte-identical between a single-engine and a sharded run.
+	// byte-identical between a one-shard and a multi-shard run.
 	ShardInvariant bool
 }
 
@@ -78,7 +78,6 @@ func obsDayConfig(p Profile, shards int, o *obs.Observer) sched.Config {
 		BaseLoad:   0.65,
 		Shape:      shape,
 		TimeScale:  p.TimeScale,
-		Workers:    p.parallelism(),
 		Shards:     shards,
 		Energy:     &model,
 		Autoscaler: autoscale.Consolidate{},

@@ -66,7 +66,6 @@ func ShadowServe(p Profile) (*ShadowResult, error) {
 		HorizonSec: 120,
 		EpochSec:   12,
 		TimeScale:  p.TimeScale,
-		Workers:    p.parallelism(),
 	}
 	out, err := serve.ShadowReplay(sp)
 	if err != nil {

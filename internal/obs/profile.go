@@ -15,8 +15,8 @@ type Profiler struct {
 	shards []ShardProfile
 }
 
-// ShardProfile is one shard's wall-clock account. On the single-engine path
-// there is exactly one (shard 0), covering the worker pool.
+// ShardProfile is one shard's wall-clock account. A one-shard run has exactly
+// one (shard 0), covering the episodes it runs inline on the coordinator.
 type ShardProfile struct {
 	// Shard is the shard index.
 	Shard int

@@ -15,7 +15,6 @@ import (
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/autoscale"
 	"github.com/approx-sched/pliant/internal/cluster"
-	"github.com/approx-sched/pliant/internal/colocate"
 	"github.com/approx-sched/pliant/internal/sim"
 	"github.com/approx-sched/pliant/internal/stats"
 	"github.com/approx-sched/pliant/internal/workload"
@@ -64,16 +63,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Faults != nil {
 		s.faults = newFaultRT(cfg)
 	}
-	if cfg.Shards > 1 {
-		// Sharded multi-engine runs own one scratch per shard; the worker
-		// pool (and its per-worker scratch) is bypassed entirely.
-		s.shards = newShardGroup(s, cfg.Shards)
-	} else {
-		s.scratch = make([]*colocate.Scratch, cfg.Workers)
-		for w := range s.scratch {
-			s.scratch[w] = &colocate.Scratch{}
-		}
-	}
+	s.shards = newShardGroup(s, cfg.Shards)
 	s.initObs()
 
 	arrivals := cfg.Arrivals
@@ -83,12 +73,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 		// trace's resource shapes so s.names[i] is exactly the i-th arrival.
 		ts, err := workload.NewTraceStream(cfg.Trace.ArrivalTimes())
 		if err != nil {
-			closeShards(s)
+			s.shards.close()
 			return nil, err
 		}
 		names, err := JobsFromTrace(cfg.Trace, cfg.JobNames)
 		if err != nil {
-			closeShards(s)
+			s.shards.close()
 			return nil, err
 		}
 		arrivals = ts
@@ -97,7 +87,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if arrivals == nil {
 		p, err := workload.NewPoisson(cfg.JobsPerSec)
 		if err != nil {
-			closeShards(s)
+			s.shards.close()
 			return nil, err
 		}
 		arrivals = p
@@ -126,13 +116,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.stopTick = s.eng.Ticker(cfg.Epoch, s.boundary)
 	return r, nil
-}
-
-// closeShards releases a half-built run's shard goroutines.
-func closeShards(s *run) {
-	if s.shards != nil {
-		s.shards.close()
-	}
 }
 
 // StepWindow advances the run through exactly one scheduling window —
@@ -301,5 +284,5 @@ func (r *Runner) Close() {
 	}
 	r.closed = true
 	r.stopTick()
-	closeShards(r.s)
+	r.s.shards.close()
 }

@@ -1,25 +1,21 @@
-// Sharded multi-engine runtime: the scaling path for 100+-node clusters.
+// Sharded runtime: the scheduler's one parallel executor.
 //
-// The single-engine scheduler advances one cluster-horizon clock and fans
-// node episodes out to a per-window worker pool; everything between episodes
-// — completion folds, telemetry roll-ups — is serial. Sharded runs instead
-// partition the nodes round-robin into S shards, each owning a sim.Engine
-// clock (allocated as a sim.EngineGroup) and a colocate.Scratch, driven by a
-// persistent goroutine. Every scheduling window, all shard clocks advance
-// from the window start to its boundary concurrently: a shard schedules one
-// typed event per owned busy node at the window-start instant and runs its
-// engine to the boundary, so episodes within a shard execute in ascending
-// node order off the engine's FIFO tiebreak, and each fold touches only
-// shard-owned node and job state.
+// Every run partitions its nodes round-robin into S shards (Config.Shards,
+// default GOMAXPROCS), each owning a colocate.Scratch and, when S > 1, a
+// persistent goroutine. Every scheduling window, all shards run their owned
+// busy nodes' episodes concurrently, in ascending node order within a
+// shard, and each fold touches only shard-owned node and job state. With
+// one shard the window runs inline on the coordinator and no goroutine
+// starts.
 //
 // At the window boundary the coordinator imposes a deterministic barrier:
 // per-shard telemetry roll-ups merge in fixed shard order (order-insensitive
 // by construction, see cluster.WindowStats), and the energy ledger,
 // lifecycle machine, autoscaler verdicts, and pending-job placement all run
-// serially over the merged snapshot in global node order — the same order
-// the single-engine path uses. Sharding therefore changes where episode work
-// executes, never what is computed: results are byte-identical for any shard
-// count, which the golden tests pin.
+// serially over the merged snapshot in global node order. Sharding
+// therefore changes where episode work executes, never what is computed:
+// results are byte-identical for any shard count, which the golden tests
+// pin.
 package sched
 
 import (
@@ -32,7 +28,7 @@ import (
 	"github.com/approx-sched/pliant/internal/sim"
 )
 
-// shardGroup coordinates the per-shard engine runtimes of one run.
+// shardGroup coordinates the shards of one run.
 type shardGroup struct {
 	s      *run
 	shards []*shardRT
@@ -45,12 +41,11 @@ type shardGroup struct {
 	prof *obs.Profiler
 }
 
-// shardRT is one shard: a partition of the cluster's nodes advancing on its
-// own engine clock, on its own goroutine.
+// shardRT is one shard: a partition of the cluster's nodes whose episodes
+// run on one goroutine (the coordinator's, for a one-shard run).
 type shardRT struct {
 	g       *shardGroup
 	id      int
-	eng     *sim.Engine
 	scratch *colocate.Scratch
 
 	// Per-window request and outputs. winStart and busy are set by the
@@ -65,27 +60,24 @@ type shardRT struct {
 	// barrier (ordered by the WaitGroup). Only maintained when profiling.
 	busyNs int64
 
-	req chan sim.Time // window-boundary instants; closed on shutdown
+	req chan struct{} // one send per window; closed on shutdown (nil inline)
 }
 
 // newShardGroup partitions the run's nodes into shards (node i belongs to
-// shard i mod shards) and starts one goroutine per shard.
+// shard i mod shards) and, for more than one shard, starts one goroutine
+// per shard.
 func newShardGroup(s *run, shards int) *shardGroup {
 	g := &shardGroup{s: s}
 	if s.cfg.Obs != nil {
 		g.prof = s.cfg.Obs.Profile
 	}
-	engines := sim.NewEngineGroup(shards)
 	for i := 0; i < shards; i++ {
-		sh := &shardRT{
-			g:       g,
-			id:      i,
-			eng:     engines.Engine(i),
-			scratch: &colocate.Scratch{},
-			req:     make(chan sim.Time),
-		}
+		sh := &shardRT{g: g, id: i, scratch: &colocate.Scratch{}}
 		g.shards = append(g.shards, sh)
-		go sh.loop()
+		if shards > 1 {
+			sh.req = make(chan struct{})
+			go sh.loop()
+		}
 	}
 	return g
 }
@@ -94,7 +86,9 @@ func newShardGroup(s *run, shards int) *shardGroup {
 // afterwards.
 func (g *shardGroup) close() {
 	for _, sh := range g.shards {
-		close(sh.req)
+		if sh.req != nil {
+			close(sh.req)
+		}
 	}
 }
 
@@ -118,11 +112,15 @@ func (g *shardGroup) advance(now sim.Time, busyIdx []int) cluster.WindowStats {
 	if g.prof != nil {
 		t0 = time.Now() //pliant:allow wallclock — profiler measures the real barrier span for obs; never feeds sim state
 	}
-	g.wg.Add(len(g.shards))
-	for _, sh := range g.shards {
-		sh.req <- now
+	if len(g.shards) == 1 {
+		g.shards[0].window()
+	} else {
+		g.wg.Add(len(g.shards))
+		for _, sh := range g.shards {
+			sh.req <- struct{}{}
+		}
+		g.wg.Wait()
 	}
-	g.wg.Wait()
 	if g.prof != nil {
 		// The barrier spans the slowest shard; every other shard's idle
 		// share of that span is its barrier wait — the imbalance measure.
@@ -140,50 +138,34 @@ func (g *shardGroup) advance(now sim.Time, busyIdx []int) cluster.WindowStats {
 	return ws
 }
 
-// loop is the shard goroutine: one window advance per request.
+// loop is the shard goroutine: one window per request.
 func (sh *shardRT) loop() {
-	for now := range sh.req {
-		sh.window(now)
+	for range sh.req {
+		sh.window()
 		sh.g.wg.Done()
 	}
 }
 
-// window advances the shard's engine clock through one scheduling window:
-// every owned busy node's episode is scheduled at the window-start instant
-// and the engine runs to the boundary, leaving the shard clock aligned with
-// the cluster horizon. Today this is equivalent to a plain ascending loop
-// over sh.busy (every event carries the same timestamp, and the typed-event
-// path allocates nothing in steady state); the engine is kept as the
-// shard's dispatcher because the ROADMAP's multi-window pipelining
-// follow-on runs shard clocks ahead of the barrier, which needs real
-// per-shard time.
-func (sh *shardRT) window(now sim.Time) {
+// window runs and folds every owned busy node's episode for the current
+// window, in ascending node order. Episode errors are left in the results
+// slot for the coordinator's in-node-order scan.
+func (sh *shardRT) window() {
 	prof := sh.g.prof
 	var t0 time.Time
 	if prof != nil {
 		t0 = time.Now() //pliant:allow wallclock — profiler measures real shard-window runtime for obs; never feeds sim state
 	}
 	sh.ws = cluster.WindowStats{}
-	start := now.Add(-sh.g.s.cfg.Epoch)
+	s := sh.g.s
 	for _, i := range sh.busy {
-		sh.eng.ScheduleTyped(start, sh, uint64(i))
+		s.results[i] = s.runEpisode(i, sh.winStart, sh.scratch)
+		if ep := &s.results[i]; ep.err == nil {
+			s.foldEpisode(i, ep, sh.winStart, &sh.ws)
+		}
 	}
-	sh.eng.Run(now)
 	if prof != nil {
 		//pliant:allow wallclock — closes the profiler span opened above; obs-only measurement
 		sh.busyNs = time.Since(t0).Nanoseconds()
 		prof.AddEpisode(sh.id, len(sh.busy), sh.busyNs)
-	}
-}
-
-// OnEvent implements sim.EventHandler: one owned node's episode, run and
-// folded shard-locally. Episode errors are left in the results slot for the
-// coordinator's in-node-order scan.
-func (sh *shardRT) OnEvent(_ sim.Time, arg uint64) {
-	i := int(arg)
-	s := sh.g.s
-	s.results[i] = s.runEpisode(i, sh.winStart, sh.scratch)
-	if ep := &s.results[i]; ep.err == nil {
-		s.foldEpisode(i, ep, sh.winStart, &sh.ws)
 	}
 }

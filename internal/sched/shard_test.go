@@ -2,16 +2,21 @@ package sched
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/approx-sched/pliant/internal/sim"
+	"github.com/approx-sched/pliant/internal/trace"
 )
 
 // TestShardInvariance is the sharded runtime's core contract: any shard
-// count produces results deeply equal to the single-engine path — every job
-// outcome, every trace point.
+// count produces results deeply equal to the one-shard inline path — every
+// job outcome, every trace point.
 func TestShardInvariance(t *testing.T) {
 	base := fastConfig(TelemetryAware{})
+	base.Shards = 1
 	single, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +29,7 @@ func TestShardInvariance(t *testing.T) {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if !reflect.DeepEqual(single, sharded) {
-			t.Fatalf("shards=%d diverged from the single-engine path", shards)
+			t.Fatalf("shards=%d diverged from the inline path", shards)
 		}
 	}
 }
@@ -37,6 +42,7 @@ func TestShardInvarianceWithEnergy(t *testing.T) {
 		t.Skip("three full energy runs; skipped in -short")
 	}
 	base := energyConfig(7, TelemetryAware{}, approxForWatts())
+	base.Shards = 1
 	single, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +61,8 @@ func TestShardInvarianceWithEnergy(t *testing.T) {
 }
 
 // TestShardConfigEdges pins the defaulting rules: negative counts run
-// single-engine, counts above the node count clamp, and a two-shard run on a
-// one-node cluster degenerates cleanly.
+// inline, zero takes GOMAXPROCS, counts above the node count clamp, and a
+// four-shard run on a one-node cluster degenerates cleanly.
 func TestShardConfigEdges(t *testing.T) {
 	cfg := fastConfig(FirstFit{})
 	cfg.Horizon = 20 * sim.Second
@@ -74,16 +80,21 @@ func TestShardConfigEdges(t *testing.T) {
 	if got := (Config{Shards: 9, Nodes: testCluster()}).withDefaults().Shards; got != 3 {
 		t.Fatalf("shards clamped to %d, want 3", got)
 	}
-	if got := (Config{Nodes: testCluster()}).withDefaults().Shards; got != 1 {
-		t.Fatalf("default shards %d, want 1", got)
+	want := runtime.GOMAXPROCS(0)
+	if want > 3 {
+		want = 3
+	}
+	if got := (Config{Nodes: testCluster()}).withDefaults().Shards; got != want {
+		t.Fatalf("default shards %d, want %d", got, want)
 	}
 }
 
-// TestShardErrorReporting keeps error behavior aligned with the single-engine
-// path: a policy that overfills a node fails the run identically whether or
-// not episodes were sharded.
+// TestShardErrorReporting keeps error behavior aligned across shard counts:
+// a policy that overfills a node fails the run identically whether its
+// episodes ran inline or on shard goroutines.
 func TestShardErrorReporting(t *testing.T) {
 	bad := fastConfig(overfillPolicy{})
+	bad.Shards = 1
 	_, errSingle := Run(bad)
 	bad.Shards = 3
 	_, errSharded := Run(bad)
@@ -100,3 +111,53 @@ type overfillPolicy struct{}
 
 func (overfillPolicy) Name() string               { return "overfill" }
 func (overfillPolicy) Place(Job, []NodeState) int { return 0 }
+
+// TestShardGoroutinesReleased checks that every way a run ends stops its
+// shard goroutines: a completed Run, a Runner closed after a partial step,
+// and a NewRunner error raised after the shard group is built. Each case
+// runs at the default shard count (GOMAXPROCS, which starts no goroutine on
+// one core) and at three shards, which always starts them.
+func TestShardGoroutinesReleased(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string, shards int) {
+		t.Helper()
+		// Closed shards exit asynchronously; allow them a moment to return.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s (shards=%d): %d goroutines, baseline %d",
+					what, shards, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for _, shards := range []int{0, 3} {
+		cfg := fastConfig(FirstFit{})
+		cfg.Horizon = 20 * sim.Second
+		cfg.Shards = shards
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		settled("Run", shards)
+
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.StepWindow(); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+		settled("Runner.Close after one step", shards)
+
+		// Decreasing arrival instants pass Config.Validate and fail only
+		// when NewRunner builds the trace stream, after the shard group.
+		bad := cfg
+		bad.JobsPerSec = 0
+		bad.Trace = &trace.Trace{Jobs: []trace.Job{{ArrivalSec: 5}, {ArrivalSec: 1}}}
+		if _, err := NewRunner(bad); err == nil || !strings.Contains(err.Error(), "must not decrease") {
+			t.Fatalf("shards=%d: want the trace-stream error, got %v", shards, err)
+		}
+		settled("NewRunner error", shards)
+	}
+}

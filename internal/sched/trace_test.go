@@ -78,10 +78,12 @@ func TestJobsFromTrace(t *testing.T) {
 
 // TestSchedTraceReplay runs the scheduler on a replayed trace: every trace
 // job whose instant falls inside the horizon arrives exactly once, the run
-// is deterministic, and the sharded path reproduces the single-engine bytes.
+// is deterministic, and the sharded path reproduces the inline one-shard
+// bytes.
 func TestSchedTraceReplay(t *testing.T) {
 	tr := testTrace(t, 12, 50)
 	cfg := fastConfig(TelemetryAware{})
+	cfg.Shards = 1
 	cfg.JobsPerSec = 0
 	cfg.Trace = tr
 
@@ -124,7 +126,7 @@ func TestSchedTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Jobs, sres.Jobs) || res.QoSMetFrac != sres.QoSMetFrac {
-		t.Error("sharded trace replay diverges from single-engine")
+		t.Error("sharded trace replay diverges from the inline path")
 	}
 }
 

@@ -412,6 +412,54 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected posts bodies one byte past maxBodyBytes to both
+// decoding endpoints: each answers 413, and no session is created.
+func TestOversizedBodiesRejected(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	post := func(url, prefix string) int {
+		t.Helper()
+		pad := maxBodyBytes + 1 - len(prefix) - len(`"}`)
+		body := prefix + strings.Repeat("a", pad) + `"}`
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(ts.URL+"/v1/sessions", `{"name":"`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: status %d, want 413", code)
+	}
+	if n := len(srv.Sessions()); n != 0 {
+		t.Fatalf("oversized spec created %d sessions", n)
+	}
+
+	sp := Spec{SubmitOnly: true, HorizonSec: 60, EpochSec: 12, TimeScale: 16, PaceMS: 100}
+	spec, _ := json.Marshal(sp)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st SessionStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
+	if code := post(ts.URL+"/v1/sessions/"+st.ID+"/jobs", `{"jobs":["`); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", code)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+st.ID, nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+}
+
 // TestShadowReplayLibrary drives the non-HTTP shadow helper and checks the
 // verdict diffs are populated.
 func TestShadowReplayLibrary(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,6 +27,11 @@ type Options struct {
 
 // DefaultMaxSessions bounds live sessions when Options doesn't.
 const DefaultMaxSessions = 16
+
+// maxBodyBytes bounds every request body the daemon decodes. The largest
+// legitimate body is a session spec carrying an inline trace CSV; a longer
+// body answers 413 instead of being buffered.
+const maxBodyBytes = 8 << 20
 
 // serverMetrics is the daemon-level instrument set behind GET /metrics,
 // written with obs.WriteMetricsProm. The obs.Registry is not thread-safe, so
@@ -313,10 +319,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request, rest stri
 // handleCreate builds a session from the Spec body.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad spec: %v", err))
+		bodyError(w, "spec", err)
 		return
 	}
 	sess, err := s.CreateSession(sp)
@@ -351,8 +357,8 @@ type submitBody struct {
 // full, 409 when the session stopped accepting.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var body submitBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
+		bodyError(w, "body", err)
 		return
 	}
 	if len(body.Jobs) == 0 {
@@ -424,6 +430,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *Sess
 func (s *Server) ListenAndServe(addr string) (*http.Server, error) {
 	hs := &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: 10 * time.Second}
 	return hs, hs.ListenAndServe()
+}
+
+// bodyError answers a request body that failed to decode: 413 when it ran
+// past maxBodyBytes, 400 when it was malformed.
+func bodyError(w http.ResponseWriter, what string, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%s exceeds %d bytes", what, tooBig.Limit))
+		return
+	}
+	httpError(w, http.StatusBadRequest, fmt.Sprintf("bad %s: %v", what, err))
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {
