@@ -7,6 +7,7 @@
 //	pliant-run -service memcached -apps canneal
 //	pliant-run -service nginx -apps canneal,Bayesian -runtime pliant -trace
 //	pliant-run -service mongodb -apps SNP -runtime precise -load 0.6
+//	pliant-run -timescale 16 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"strings"
 
 	pliant "github.com/approx-sched/pliant"
+	"github.com/approx-sched/pliant/internal/cliprof"
 )
 
 func main() {
@@ -32,6 +34,8 @@ func main() {
 		csvOut   = flag.String("csv", "", "write the per-interval trace as CSV to a file ('-' for stdout)")
 		hints    = flag.String("hints", "", "load an ACCEPT-style hints file; its app becomes available to -apps")
 		showVer  = flag.Bool("version", false, "print the build identity and exit")
+		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to a file")
+		memProf  = flag.String("memprofile", "", "write a pprof heap profile to a file when the run ends")
 	)
 	flag.Parse()
 
@@ -47,6 +51,16 @@ func main() {
 		}
 		return
 	}
+
+	stopProf, err := cliprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fail(err)
+		}
+	}()
 
 	cls, err := parseService(*svcName)
 	if err != nil {

@@ -20,6 +20,7 @@
 //	pliant-sched -policy telemetry -mttf 120 -mttr 15 -retries 2   # seeded crash churn
 //	pliant-sched -outage 80:1:40 -fault-domain 2 -autoscale degrade-under-loss
 //	pliant-sched -trace tasks.csv -trace-faults   # replay the trace's failure rate
+//	pliant-sched -policy telemetry -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // SIGINT/SIGTERM stops the run at the next window boundary: the partial
 // result still renders and still flushes to -json/-csv, marked truncated.
@@ -34,6 +35,7 @@ import (
 	"syscall"
 
 	pliant "github.com/approx-sched/pliant"
+	"github.com/approx-sched/pliant/internal/cliprof"
 )
 
 func main() {
@@ -83,6 +85,8 @@ func main() {
 		traceFaults = flag.Bool("trace-faults", false,
 			"derive the crash rate from the -trace's failure-shaped terminal causes (EVICT/FAIL/KILL/LOST)")
 		showVer = flag.Bool("version", false, "print the build identity and exit")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to a file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile to a file when the run ends")
 	)
 	flag.Parse()
 
@@ -90,6 +94,16 @@ func main() {
 		fmt.Println(pliant.Version())
 		return
 	}
+
+	stopProf, err := cliprof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fail(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fail(err)
+		}
+	}()
 
 	outages, err := parseOutages(*outageFlag)
 	if err != nil {

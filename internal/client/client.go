@@ -16,24 +16,54 @@ import (
 // Generator drives one service instance with an arrival process.
 type Generator struct {
 	eng     *sim.Engine
-	rng     *sim.RNG
 	svc     *service.Instance
 	arrival workload.ArrivalProcess
+
+	// An exponential-gap process (workload.ExpArrival) takes its draws from
+	// units, which owns the generator's RNG from then on and draws ahead of
+	// use; any other process draws inline from rng.
+	rng   *sim.RNG
+	exp   workload.ExpArrival
+	units *sim.Lookahead
+	buf   *sim.LookaheadBuf
 
 	running bool
 	stopped bool
 	sent    uint64
 }
 
-// New creates a generator. Call Start to begin offering load.
-func New(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) (*Generator, error) {
+// New creates a generator. Call Start to begin offering load, and Close to
+// release it. buf, when non-nil, supplies the block storage of the gap
+// draws (sim.Lookahead).
+func New(eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess, buf *sim.LookaheadBuf) (*Generator, error) {
 	if eng == nil || rng == nil || svc == nil || arrival == nil {
 		return nil, fmt.Errorf("client: nil dependency")
 	}
 	if arrival.Rate() <= 0 {
 		return nil, fmt.Errorf("client: arrival rate must be positive")
 	}
-	return &Generator{eng: eng, rng: rng, svc: svc, arrival: arrival}, nil
+	g := &Generator{eng: eng, rng: rng, svc: svc, buf: buf}
+	g.setArrival(arrival)
+	return g, nil
+}
+
+// setArrival installs an arrival process. The first exponential-gap process
+// hands the RNG to the lookahead; the unit values it draws serve every later
+// one, so the stream is the same one an inline RNG would give.
+func (g *Generator) setArrival(arrival workload.ArrivalProcess) {
+	g.arrival = arrival
+	g.exp, _ = arrival.(workload.ExpArrival)
+	if g.exp != nil && g.units == nil {
+		g.units = sim.NewLookahead(g.rng, (*sim.RNG).LogComplement, g.buf)
+		g.rng = nil
+	}
+}
+
+// Close stops the generator's gap draws; it is idempotent.
+func (g *Generator) Close() {
+	if g.units != nil {
+		g.units.Close()
+	}
 }
 
 // Start begins generating arrivals at the current simulation time.
@@ -61,6 +91,9 @@ func (g *Generator) Rate() float64 { return g.arrival.Rate() }
 // nextGap draws the next inter-arrival gap, letting time-varying processes
 // (workload.TimedArrival) see the current virtual time.
 func (g *Generator) nextGap() sim.Duration {
+	if g.exp != nil {
+		return g.exp.GapFrom(g.units, g.eng.Now())
+	}
 	if ta, ok := g.arrival.(workload.TimedArrival); ok {
 		return ta.NextAt(g.rng, g.eng.Now())
 	}
@@ -92,6 +125,6 @@ func (g *Generator) SetRate(qps float64) error {
 	if err != nil {
 		return err
 	}
-	g.arrival = p
+	g.setArrival(p)
 	return nil
 }

@@ -9,7 +9,7 @@ import (
 	"github.com/approx-sched/pliant/internal/workload"
 )
 
-func testService(eng *sim.Engine, onLat func(sim.Duration)) *service.Instance {
+func testService(t *testing.T, eng *sim.Engine, onLat func(sim.Duration)) *service.Instance {
 	cfg := service.Config{
 		Name:            "t",
 		QoS:             sim.Millisecond,
@@ -18,30 +18,41 @@ func testService(eng *sim.Engine, onLat func(sim.Duration)) *service.Instance {
 		ContentionShare: 1,
 		MaxBacklog:      sim.Second,
 	}
-	svc, err := service.New(eng, sim.NewRNG(2), cfg, 4, onLat)
+	svc, err := service.New(eng, sim.NewRNG(2), cfg, 4, onLat, nil)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
+	t.Cleanup(svc.Close)
 	return svc
+}
+
+// testGenerator builds a generator that is closed when the test ends.
+func testGenerator(t *testing.T, eng *sim.Engine, rng *sim.RNG, svc *service.Instance, arrival workload.ArrivalProcess) *Generator {
+	gen, err := New(eng, rng, svc, arrival, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gen.Close)
+	return gen
 }
 
 func TestNewValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
-	svc := testService(eng, nil)
-	if _, err := New(nil, rng, svc, workload.Uniform{QPS: 10}); err == nil {
+	svc := testService(t, eng, nil)
+	if _, err := New(nil, rng, svc, workload.Uniform{QPS: 10}, nil); err == nil {
 		t.Fatal("nil engine accepted")
 	}
-	if _, err := New(eng, nil, svc, workload.Uniform{QPS: 10}); err == nil {
+	if _, err := New(eng, nil, svc, workload.Uniform{QPS: 10}, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
-	if _, err := New(eng, rng, nil, workload.Uniform{QPS: 10}); err == nil {
+	if _, err := New(eng, rng, nil, workload.Uniform{QPS: 10}, nil); err == nil {
 		t.Fatal("nil service accepted")
 	}
-	if _, err := New(eng, rng, svc, nil); err == nil {
+	if _, err := New(eng, rng, svc, nil, nil); err == nil {
 		t.Fatal("nil arrival accepted")
 	}
-	if _, err := New(eng, rng, svc, workload.Uniform{QPS: 0}); err == nil {
+	if _, err := New(eng, rng, svc, workload.Uniform{QPS: 0}, nil); err == nil {
 		t.Fatal("zero-rate arrival accepted")
 	}
 }
@@ -49,11 +60,8 @@ func TestNewValidation(t *testing.T) {
 func TestGeneratorOffersConfiguredLoad(t *testing.T) {
 	eng := sim.NewEngine()
 	served := 0
-	svc := testService(eng, func(sim.Duration) { served++ })
-	gen, err := New(eng, sim.NewRNG(3), svc, workload.Uniform{QPS: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := testService(t, eng, func(sim.Duration) { served++ })
+	gen := testGenerator(t, eng, sim.NewRNG(3), svc, workload.Uniform{QPS: 1000})
 	gen.Start()
 	eng.Run(sim.Time(2 * sim.Second))
 	// Uniform 1000 QPS for 2 seconds: 2000 arrivals (±1 boundary effect).
@@ -70,9 +78,9 @@ func TestGeneratorOffersConfiguredLoad(t *testing.T) {
 
 func TestPoissonLoadApproximatesRate(t *testing.T) {
 	eng := sim.NewEngine()
-	svc := testService(eng, nil)
+	svc := testService(t, eng, nil)
 	arr, _ := workload.NewPoisson(5000)
-	gen, _ := New(eng, sim.NewRNG(4), svc, arr)
+	gen := testGenerator(t, eng, sim.NewRNG(4), svc, arr)
 	gen.Start()
 	eng.Run(sim.Time(4 * sim.Second))
 	want := 20000.0
@@ -84,8 +92,8 @@ func TestPoissonLoadApproximatesRate(t *testing.T) {
 
 func TestStopHaltsArrivals(t *testing.T) {
 	eng := sim.NewEngine()
-	svc := testService(eng, nil)
-	gen, _ := New(eng, sim.NewRNG(5), svc, workload.Uniform{QPS: 1000})
+	svc := testService(t, eng, nil)
+	gen := testGenerator(t, eng, sim.NewRNG(5), svc, workload.Uniform{QPS: 1000})
 	gen.Start()
 	eng.Schedule(sim.Time(sim.Second), func() { gen.Stop() })
 	eng.Run(sim.Time(5 * sim.Second))
@@ -96,8 +104,8 @@ func TestStopHaltsArrivals(t *testing.T) {
 
 func TestStartIsIdempotent(t *testing.T) {
 	eng := sim.NewEngine()
-	svc := testService(eng, nil)
-	gen, _ := New(eng, sim.NewRNG(6), svc, workload.Uniform{QPS: 100})
+	svc := testService(t, eng, nil)
+	gen := testGenerator(t, eng, sim.NewRNG(6), svc, workload.Uniform{QPS: 100})
 	gen.Start()
 	gen.Start() // must not double the offered load
 	eng.Run(sim.Time(sim.Second))
@@ -108,8 +116,8 @@ func TestStartIsIdempotent(t *testing.T) {
 
 func TestSetRate(t *testing.T) {
 	eng := sim.NewEngine()
-	svc := testService(eng, nil)
-	gen, _ := New(eng, sim.NewRNG(7), svc, workload.Uniform{QPS: 100})
+	svc := testService(t, eng, nil)
+	gen := testGenerator(t, eng, sim.NewRNG(7), svc, workload.Uniform{QPS: 100})
 	gen.Start()
 	eng.Schedule(sim.Time(sim.Second), func() {
 		if err := gen.SetRate(10000); err != nil {

@@ -295,8 +295,9 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	s, err := build(cfg)
-	if err != nil {
+	s := &scenario{cfg: cfg}
+	defer s.close()
+	if err := s.build(); err != nil {
 		return Result{}, err
 	}
 	return s.run()
@@ -354,16 +355,18 @@ type scenario struct {
 	utilSum   float64
 }
 
-func build(cfg Config) (*scenario, error) {
-	s := &scenario{
-		cfg:   cfg,
-		rng:   sim.NewRNG(cfg.Seed),
-		trace: stats.NewTrace(),
-	}
+// build assembles the scenario. Whatever it has started by the time it
+// returns, error or not, s.close releases.
+func (s *scenario) build() error {
+	cfg := s.cfg
+	s.rng = sim.NewRNG(cfg.Seed)
+	s.trace = stats.NewTrace()
+	var demandBuf, gapBuf *sim.LookaheadBuf
 	if cfg.Scratch != nil {
 		s.eng = cfg.Scratch.engine()
 		s.histogram = cfg.Scratch.latencyHist()
 		s.intervalP99s = cfg.Scratch.intervalBuf()
+		demandBuf, gapBuf = &cfg.Scratch.demand, &cfg.Scratch.gaps
 	} else {
 		s.eng = sim.NewEngine()
 		s.histogram = stats.NewLatencyHistogram()
@@ -372,11 +375,11 @@ func build(cfg Config) (*scenario, error) {
 	var err error
 	s.alloc, err = platform.NewAllocation(cfg.Platform)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.model, err = interference.New(cfg.Platform)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Fair initial allocation: the service and every app get equal shares.
@@ -386,7 +389,7 @@ func build(cfg Config) (*scenario, error) {
 		tenants = append(tenants, platform.TenantID(fmt.Sprintf("app%d:%s", i, name)))
 	}
 	if err := s.alloc.FairShare(tenants...); err != nil {
-		return nil, err
+		return err
 	}
 	fairSvcCores := s.alloc.Cores(s.svcTenant)
 
@@ -406,9 +409,9 @@ func build(cfg Config) (*scenario, error) {
 	// Interactive service and its open-loop client.
 	svcCfg := service.Preset(cfg.Service).Scaled(cfg.TimeScale)
 	s.svcCfg = svcCfg
-	s.svc, err = service.New(s.eng, s.rng.Split(1), svcCfg, fairSvcCores, s.observeLatency)
+	s.svc, err = service.New(s.eng, s.rng.Split(1), svcCfg, fairSvcCores, s.observeLatency, demandBuf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	qps := svcCfg.SaturationQPS(fairSvcCores) * cfg.LoadFraction
 	var arr workload.ArrivalProcess
@@ -418,22 +421,22 @@ func build(cfg Config) (*scenario, error) {
 		arr, err = workload.NewPoisson(qps)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.gen, err = client.New(s.eng, s.rng.Split(2), s.svc, arr)
+	s.gen, err = client.New(s.eng, s.rng.Split(2), s.svc, arr, gapBuf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Approximate applications under the instrumentation substrate.
 	for i, name := range cfg.AppNames {
 		prof, err := resolveApp(cfg, name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		variants, err := dse.VariantsFor(prof)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cfg.AppWorkScale != nil {
 			// Resumed job: the instance carries only the remaining work. The
@@ -443,7 +446,7 @@ func build(cfg Config) (*scenario, error) {
 		cores := s.alloc.Cores(tenants[i+1])
 		inst, err := app.NewInstance(s.eng, s.rng.Split(uint64(10+i)), prof, variants, cores, s.appFinished)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		opts := dyninst.Options{OverheadOverride: -1}
 		if !s.instrumented() {
@@ -451,7 +454,7 @@ func build(cfg Config) (*scenario, error) {
 		}
 		proc, err := dyninst.Launch(s.eng, inst, opts)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.apps = append(s.apps, proc)
 		s.appNames = append(s.appNames, name)
@@ -476,7 +479,7 @@ func build(cfg Config) (*scenario, error) {
 		case Learner:
 			s.policy = core.NewLearnerPolicy(s.rng.Split(3))
 		default:
-			return nil, fmt.Errorf("colocate: unknown runtime %v", cfg.Runtime)
+			return fmt.Errorf("colocate: unknown runtime %v", cfg.Runtime)
 		}
 	}
 	if cfg.FixedVariants != nil {
@@ -490,10 +493,17 @@ func build(cfg Config) (*scenario, error) {
 		monCfg.Scratch = cfg.Scratch.monitorHist()
 	}
 	s.mon, err = monitor.New(s.eng, monCfg, s.onReport)
-	if err != nil {
-		return nil, err
+	return err
+}
+
+// close stops the service's and the client's draws, whichever exist.
+func (s *scenario) close() {
+	if s.gen != nil {
+		s.gen.Close()
 	}
-	return s, nil
+	if s.svc != nil {
+		s.svc.Close()
+	}
 }
 
 // instrumented reports whether apps run under the instrumentation overhead:

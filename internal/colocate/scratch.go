@@ -7,7 +7,8 @@ import (
 
 // Scratch is reusable per-episode simulation state: the event engine (heap
 // and slot arenas), the whole-run latency histogram, the monitor's interval
-// histogram, and the per-interval p99 buffer. An online scheduler runs
+// histogram, the per-interval p99 buffer, and the block storage of the
+// service-demand and arrival-gap lookaheads. An online scheduler runs
 // thousands of short colocation episodes; threading one Scratch per worker
 // through Config.Scratch lets every episode after the first reuse these
 // buffers instead of reallocating them.
@@ -20,6 +21,8 @@ type Scratch struct {
 	hist    *stats.Histogram
 	monHist *stats.Histogram
 	p99s    []float64
+	demand  sim.LookaheadBuf
+	gaps    sim.LookaheadBuf
 }
 
 // engine returns the scratch engine reset to t=0, creating it on first use.

@@ -90,7 +90,7 @@ func TestPrintHeadroom(t *testing.T) {
 		rng := simNewRNG(99)
 		cfg := service.Preset(cls).Scaled(16)
 		hist := statsNewLatencyHistogram()
-		svc, err := service.New(eng, rng.Split(1), cfg, 8, func(d simDuration) { hist.Record(float64(d)) })
+		svc, err := service.New(eng, rng.Split(1), cfg, 8, func(d simDuration) { hist.Record(float64(d)) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,5 +101,6 @@ func TestPrintHeadroom(t *testing.T) {
 		eng.After(arr.Next(rng), next)
 		eng.Run(simTime(20 * simSecond))
 		fmt.Printf("%-10s isolated p99@78%% = %.2f of QoS\n", cls, hist.P99()/float64(cfg.QoS))
+		svc.Close()
 	}
 }

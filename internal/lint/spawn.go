@@ -10,14 +10,19 @@ import (
 // goroutines. Each one sits behind a determinism discipline: the shard
 // runtime merges at the window barrier in fixed order, the serving layer's
 // session pump and SSE writers touch only the serial coordinator surface,
-// and the experiment runner fans out independent simulations. A `go`
-// statement anywhere else is concurrency without a merge discipline — the
-// precise spot where nondeterminism enters.
+// the experiment runner fans out independent simulations, and the sim
+// lookahead's helper is the sole reader of an RNG handed over to it and
+// delivers its draws in production order. A `go` statement anywhere else is
+// concurrency without a merge discipline — the precise spot where
+// nondeterminism enters.
 var spawnAllowedFiles = map[string]bool{
 	"internal/sched/shard.go":         true,
 	"internal/serve/session.go":       true,
 	"internal/serve/sse.go":           true,
 	"internal/experiments/profile.go": true,
+	// One helper per stream; it owns its RNG, and values reach the consumer
+	// in draw order over channels, so bytes match inline draws.
+	"internal/sim/lookahead.go": true,
 }
 
 // ruleSpawn confines `go` statements to the allowlisted concurrency files.
@@ -27,7 +32,7 @@ func (ruleSpawn) Name() string { return "spawn" }
 
 func (ruleSpawn) Doc() string {
 	return "go statements only in the sanctioned concurrency files (shard " +
-		"runtime, session pump, SSE, experiment runner); new " +
+		"runtime, session pump, SSE, experiment runner, sim lookahead); new " +
 		"goroutines need a merge discipline, not just a waitgroup"
 }
 

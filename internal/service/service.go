@@ -107,14 +107,14 @@ func (c Config) SaturationQPS(cores int) float64 {
 type Instance struct {
 	cfg Config
 	eng *sim.Engine
-	rng *sim.RNG
 
 	cores    int
 	slowdown float64
 
-	// demand is the compiled form of cfg.Demand (same value stream, constants
-	// hoisted), used on the per-request path.
-	demand workload.Sampler
+	// demand draws the compiled form of cfg.Demand (same value stream,
+	// constants hoisted) ahead of the per-request path, from the RNG the
+	// instance was built with.
+	demand *sim.Lookahead
 
 	// inflation, meanDemand, and qcap cache effectiveInflation(), the mean
 	// inflated demand, and queueCap(): they change only on
@@ -175,7 +175,11 @@ func (r *reqRing) Pop() pendingRequest {
 // New creates a service instance bound to an engine. The latency callback
 // fires once per completed (or dropped) request with its end-to-end latency;
 // it stands in for the client-side measurement point of the paper's monitor.
-func New(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(sim.Duration)) (*Instance, error) {
+//
+// The instance takes rng over and draws its per-request demands from it
+// ahead of use (sim.Lookahead), into block storage from buf when non-nil;
+// Close releases the drawing goroutine.
+func New(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(sim.Duration), buf *sim.LookaheadBuf) (*Instance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,15 +192,18 @@ func New(eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(si
 	s := &Instance{
 		cfg:       cfg,
 		eng:       eng,
-		rng:       rng,
 		cores:     cores,
 		slowdown:  1.0,
-		demand:    compileSampler(cfg.Demand),
+		demand:    sim.NewLookahead(rng, compileSampler(cfg.Demand).Sample, buf),
 		onLatency: onLatency,
 	}
 	s.recalc()
 	return s, nil
 }
+
+// Close stops the instance's demand draws. The instance accepts no arrivals
+// afterwards; Close is idempotent.
+func (s *Instance) Close() { s.demand.Close() }
 
 // compileSampler hoists per-sample constants out of the demand sampler,
 // looking through the Scaled() wrapper (and flattening it, so the hot path
@@ -267,7 +274,7 @@ func (s *Instance) Slowdown() float64 { return s.slowdown }
 
 // Arrive submits one request to the service at the current simulation time.
 func (s *Instance) Arrive() {
-	req := pendingRequest{arrived: s.eng.Now(), demand: s.demand.Sample(s.rng)}
+	req := pendingRequest{arrived: s.eng.Now(), demand: s.demand.Next()}
 	if s.busy < s.workers() {
 		s.start(req)
 		return

@@ -28,10 +28,7 @@ func newBenchInstance(tb testing.TB) (*sim.Engine, *benchArrivals) {
 	rng := sim.NewRNG(11)
 	hist := stats.NewLatencyHistogram()
 	cfg := Preset(Memcached).Scaled(16)
-	svc, err := New(eng, rng.Split(1), cfg, 8, func(d sim.Duration) { hist.Record(float64(d)) })
-	if err != nil {
-		tb.Fatal(err)
-	}
+	svc := newInstance(tb, eng, rng.Split(1), cfg, 8, func(d sim.Duration) { hist.Record(float64(d)) })
 	qps := cfg.SaturationQPS(8) * 0.78
 	arr := &benchArrivals{eng: eng, rng: rng.Split(2), svc: svc, gap: sim.DurationOf(1 / qps)}
 	eng.ScheduleTyped(0, arr, 0)

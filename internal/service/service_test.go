@@ -19,6 +19,17 @@ func testConfig() Config {
 	}
 }
 
+// newInstance builds an instance that is closed when the test ends.
+func newInstance(tb testing.TB, eng *sim.Engine, rng *sim.RNG, cfg Config, cores int, onLatency func(sim.Duration)) *Instance {
+	tb.Helper()
+	svc, err := New(eng, rng, cfg, cores, onLatency, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(svc.Close)
+	return svc
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testConfig()
 	if err := good.Validate(); err != nil {
@@ -45,12 +56,12 @@ func TestConfigValidate(t *testing.T) {
 func TestNewValidates(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
-	if _, err := New(eng, rng, testConfig(), 0, nil); err == nil {
+	if _, err := New(eng, rng, testConfig(), 0, nil, nil); err == nil {
 		t.Fatal("zero cores accepted")
 	}
 	bad := testConfig()
 	bad.MaxBacklog = 0
-	if _, err := New(eng, rng, bad, 2, nil); err == nil {
+	if _, err := New(eng, rng, bad, 2, nil, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -58,10 +69,7 @@ func TestNewValidates(t *testing.T) {
 func TestSingleRequestLatencyEqualsDemand(t *testing.T) {
 	eng := sim.NewEngine()
 	var lat sim.Duration
-	svc, err := New(eng, sim.NewRNG(1), testConfig(), 2, func(d sim.Duration) { lat = d })
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := newInstance(t, eng, sim.NewRNG(1), testConfig(), 2, func(d sim.Duration) { lat = d })
 	eng.Schedule(0, func() { svc.Arrive() })
 	eng.Run(sim.Forever)
 	if lat != 100*sim.Microsecond {
@@ -75,7 +83,7 @@ func TestSingleRequestLatencyEqualsDemand(t *testing.T) {
 func TestQueueingWhenAllWorkersBusy(t *testing.T) {
 	eng := sim.NewEngine()
 	var lats []sim.Duration
-	svc, _ := New(eng, sim.NewRNG(1), testConfig(), 1, func(d sim.Duration) { lats = append(lats, d) })
+	svc := newInstance(t, eng, sim.NewRNG(1), testConfig(), 1, func(d sim.Duration) { lats = append(lats, d) })
 	// Two simultaneous arrivals on one worker: second waits for the first.
 	eng.Schedule(0, func() { svc.Arrive(); svc.Arrive() })
 	eng.Run(sim.Forever)
@@ -90,7 +98,7 @@ func TestQueueingWhenAllWorkersBusy(t *testing.T) {
 func TestSlowdownInflatesService(t *testing.T) {
 	eng := sim.NewEngine()
 	var lat sim.Duration
-	svc, _ := New(eng, sim.NewRNG(1), testConfig(), 1, func(d sim.Duration) { lat = d })
+	svc := newInstance(t, eng, sim.NewRNG(1), testConfig(), 1, func(d sim.Duration) { lat = d })
 	svc.SetSlowdown(2.0)
 	eng.Schedule(0, func() { svc.Arrive() })
 	eng.Run(sim.Forever)
@@ -109,7 +117,7 @@ func TestContentionShareLimitsInflation(t *testing.T) {
 	cfg := testConfig()
 	cfg.ContentionShare = 0.4 // only 40% of demand inflates
 	var lat sim.Duration
-	svc, _ := New(eng, sim.NewRNG(1), cfg, 1, func(d sim.Duration) { lat = d })
+	svc := newInstance(t, eng, sim.NewRNG(1), cfg, 1, func(d sim.Duration) { lat = d })
 	svc.SetSlowdown(2.0)
 	eng.Schedule(0, func() { svc.Arrive() })
 	eng.Run(sim.Forever)
@@ -122,7 +130,7 @@ func TestContentionShareLimitsInflation(t *testing.T) {
 func TestSetCoresDrainsQueue(t *testing.T) {
 	eng := sim.NewEngine()
 	done := 0
-	svc, _ := New(eng, sim.NewRNG(1), testConfig(), 1, func(sim.Duration) { done++ })
+	svc := newInstance(t, eng, sim.NewRNG(1), testConfig(), 1, func(sim.Duration) { done++ })
 	eng.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
 			svc.Arrive()
@@ -143,7 +151,7 @@ func TestSetCoresDrainsQueue(t *testing.T) {
 
 func TestSetCoresFloorsAtOne(t *testing.T) {
 	eng := sim.NewEngine()
-	svc, _ := New(eng, sim.NewRNG(1), testConfig(), 2, nil)
+	svc := newInstance(t, eng, sim.NewRNG(1), testConfig(), 2, nil)
 	svc.SetCores(0)
 	if svc.Cores() != 1 {
 		t.Fatalf("Cores = %d, want floor of 1", svc.Cores())
@@ -155,7 +163,7 @@ func TestQueueCapDropsAndAccounts(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxBacklog = 500 * sim.Microsecond // 5 requests on one core
 	var lats []sim.Duration
-	svc, _ := New(eng, sim.NewRNG(1), cfg, 1, func(d sim.Duration) { lats = append(lats, d) })
+	svc := newInstance(t, eng, sim.NewRNG(1), cfg, 1, func(d sim.Duration) { lats = append(lats, d) })
 	eng.Schedule(0, func() {
 		for i := 0; i < 10; i++ { // 1 in service, 5 queued, 4 dropped
 			svc.Arrive()
@@ -179,7 +187,7 @@ func TestWorkersPerCoreMultiplexing(t *testing.T) {
 	cfg := testConfig()
 	cfg.WorkersPerCore = 4
 	done := 0
-	svc, _ := New(eng, sim.NewRNG(1), cfg, 1, func(sim.Duration) { done++ })
+	svc := newInstance(t, eng, sim.NewRNG(1), cfg, 1, func(sim.Duration) { done++ })
 	eng.Schedule(0, func() {
 		for i := 0; i < 4; i++ {
 			svc.Arrive()
@@ -227,7 +235,7 @@ func TestDemandReportsPressure(t *testing.T) {
 	cfg := testConfig()
 	cfg.LLCMB = 12
 	cfg.BWPerCoreGBs = 1.5
-	svc, _ := New(eng, sim.NewRNG(1), cfg, 4, nil)
+	svc := newInstance(t, eng, sim.NewRNG(1), cfg, 4, nil)
 	d := svc.Demand("svc")
 	if d.Tenant != "svc" {
 		t.Fatalf("tenant = %s", d.Tenant)
@@ -290,12 +298,9 @@ func runIsolated(t *testing.T, cls Class, loadFrac, slowdown float64, dur sim.Du
 	rng := sim.NewRNG(1234)
 	hist := stats.NewLatencyHistogram()
 	cfg := Preset(cls)
-	svc, err := New(eng, rng.Split(1), cfg, 8, func(d sim.Duration) {
+	svc := newInstance(t, eng, rng.Split(1), cfg, 8, func(d sim.Duration) {
 		hist.Record(float64(d))
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.SetSlowdown(slowdown)
 	qps := cfg.SaturationQPS(8) * loadFrac
 	arr, err := workload.NewPoisson(qps)

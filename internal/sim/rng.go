@@ -93,12 +93,20 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // Exp returns an exponentially distributed value with the given mean.
 // Used for Poisson inter-arrival times.
 func (r *RNG) Exp(mean float64) float64 {
+	return -mean * r.LogComplement()
+}
+
+// LogComplement returns log(1-u) for the next uniform u: the unit value Exp
+// scales, so Exp(mean) is exactly -mean*LogComplement() on the same stream.
+// Drawing it apart from the mean lets a caller prefetch arrival gaps whose
+// rate is only known at use.
+func (r *RNG) LogComplement() float64 {
 	u := r.Float64()
 	// Guard against log(0).
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	return -mean * math.Log(1-u)
+	return math.Log(1 - u)
 }
 
 // Norm returns a normally distributed value with the given mean and standard

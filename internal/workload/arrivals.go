@@ -31,10 +31,34 @@ func NewPoisson(qps float64) (Poisson, error) {
 	return Poisson{QPS: qps}, nil
 }
 
+// ExpArrival is an arrival process whose every gap is one exponential draw,
+// scaled by the rate in force when it is taken: Poisson and ShapedPoisson.
+// GapFrom takes that draw as a prefetched unit value from src — log(1-u), as
+// sim.RNG.LogComplement returns it — and returns exactly the gap Next (or
+// NextAt, for a timed process) would have drawn from the RNG that produced
+// the value. A gap that needs no draw takes nothing from src.
+type ExpArrival interface {
+	ArrivalProcess
+	GapFrom(src UnitSource, now sim.Time) sim.Duration
+}
+
+// UnitSource yields successive unit values log(1-u), such as a
+// sim.Lookahead drawing sim.RNG.LogComplement.
+type UnitSource interface {
+	Next() float64
+}
+
 // Next draws an exponential gap.
-func (p Poisson) Next(rng *sim.RNG) sim.Duration {
-	gap := rng.Exp(1 / p.QPS) // seconds
-	d := sim.DurationOf(gap)
+func (p Poisson) Next(rng *sim.RNG) sim.Duration { return p.gap(rng.LogComplement()) }
+
+// GapFrom implements ExpArrival.
+func (p Poisson) GapFrom(src UnitSource, _ sim.Time) sim.Duration { return p.gap(src.Next()) }
+
+// gap scales the unit value lc = log(1-u) into a gap, with the float
+// operations of sim.RNG.Exp.
+func (p Poisson) gap(lc float64) sim.Duration {
+	mean := 1 / p.QPS // seconds
+	d := sim.DurationOf(-mean * lc)
 	if d <= 0 {
 		d = 1 // clamp to 1ns: zero gaps would starve the event loop ordering
 	}

@@ -237,11 +237,33 @@ const maxGapSec = 1e9
 // NewShapedPoisson, or a multiplier the clamp cannot rescue — yields the
 // finite cap rather than an Inf/NaN gap.
 func (p ShapedPoisson) NextAt(rng *sim.RNG, now sim.Time) sim.Duration {
-	rate := p.BaseQPS * ClampMultiplier(p.Shape.Multiplier(now.Seconds()))
+	rate := p.rateAt(now)
 	if !(rate > 0) { // zero, negative, or NaN
 		return sim.DurationOf(maxGapSec)
 	}
-	gap := rng.Exp(1 / rate)
+	return shapedGap(rate, rng.LogComplement())
+}
+
+// GapFrom implements ExpArrival: NextAt with the draw taken from src, and
+// none taken when the rate is degenerate.
+func (p ShapedPoisson) GapFrom(src UnitSource, now sim.Time) sim.Duration {
+	rate := p.rateAt(now)
+	if !(rate > 0) {
+		return sim.DurationOf(maxGapSec)
+	}
+	return shapedGap(rate, src.Next())
+}
+
+// rateAt is the effective arrival rate at now.
+func (p ShapedPoisson) rateAt(now sim.Time) float64 {
+	return p.BaseQPS * ClampMultiplier(p.Shape.Multiplier(now.Seconds()))
+}
+
+// shapedGap scales the unit value lc = log(1-u) into a gap at a positive
+// rate, with the float operations of sim.RNG.Exp, capped at maxGapSec.
+func shapedGap(rate, lc float64) sim.Duration {
+	mean := 1 / rate
+	gap := -mean * lc
 	if !(gap < maxGapSec) { // catches Inf and NaN alongside huge draws
 		gap = maxGapSec
 	}
