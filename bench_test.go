@@ -417,8 +417,8 @@ func BenchmarkSchedShardedDiurnal(b *testing.B) {
 // a synthesized multi-hour Google-format trace parsed through the production
 // ingestion path, compressed into the two-minute day, and replayed over the
 // five-node cluster while services ride the trace's damped rate curve. It
-// also returns the raw row count and replayed job count — the trajectory
-// metadata pliant-bench -verify requires on trace records.
+// also returns the raw row count and replayed job count, which
+// BenchmarkSchedTraceReplay reports beside QoS.
 func traceReplayBenchConfig() (cfg pliant.SchedConfig, rows, jobs int, err error) {
 	raw := pliant.SynthesizeTrace(pliant.TraceSynthConfig{
 		Format:  pliant.GoogleTraceFormat,

@@ -7,8 +7,9 @@
 //	pliant-bench -list           # list experiment IDs
 //	pliant-bench -full           # paper-scale parameters (hours of CPU)
 //	pliant-bench -seed 7 -par 8  # override seed / parallelism
-//	pliant-bench -json -label PR2  # write the BENCH_PR2.json perf trajectory
-//	pliant-bench -verify .         # check every BENCH_*.json still parses
+//
+// Performance is measured elsewhere: the Benchmark* functions under
+// `go test -bench`, and the repo benchmark in perfbench/.
 package main
 
 import (
@@ -28,31 +29,12 @@ func main() {
 		seed    = flag.Uint64("seed", 0, "override the root seed")
 		par     = flag.Int("par", 0, "parallel scenario workers (default GOMAXPROCS)")
 		allApps = flag.Bool("allapps", false, "cover all 24 applications at the fast timescale")
-		jsonOut = flag.Bool("json", false, "run the perf-trajectory benchmark suite and write BENCH_<label>.json")
-		label   = flag.String("label", "dev", "label for the -json trajectory file")
-		verify  = flag.String("verify", "", "parse every BENCH_*.json under the given directory and exit")
 		showVer = flag.Bool("version", false, "print the build identity and exit")
 	)
 	flag.Parse()
 
 	if *showVer {
 		fmt.Println(pliant.Version())
-		return
-	}
-
-	if *verify != "" {
-		if err := verifyTrajectories(*verify, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "pliant-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut {
-		if err := runTrajectory(*label); err != nil {
-			fmt.Fprintf(os.Stderr, "pliant-bench: %v\n", err)
-			os.Exit(1)
-		}
 		return
 	}
 

@@ -25,8 +25,8 @@ import (
 )
 
 func main() {
-	// The daemon, mounted on a local listener. cmd/pliant-served does the
-	// same with ListenAndServe; everything below is plain HTTP either way.
+	// The daemon, mounted on a local listener. cmd/pliant-served mounts it
+	// on its own http.Server; everything below is plain HTTP either way.
 	srv := pliant.NewServeServer(pliant.ServeOptions{Version: pliant.Version()})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

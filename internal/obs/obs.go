@@ -25,8 +25,8 @@
 //   - The wall-clock profiler (Profiler): per-shard episode runtime and
 //     barrier-wait accounting in real nanoseconds. Wall time is inherently
 //     non-deterministic, so this channel never feeds the tracer, the
-//     registry, or any simulation decision; it surfaces through
-//     Result.ShardProfiles and pliant-bench -json only.
+//     registry, or any simulation decision; it surfaces only through
+//     Result.ShardProfiles and never reaches the export writers.
 //
 // A nil *Observer keeps everything off: the scheduler's hot path sees one
 // pointer test and runs byte-identical to an obs-free build.

@@ -460,6 +460,102 @@ func TestOversizedBodiesRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedBatchRejected checks that a submit carrying more than
+// maxBatchJobs names answers 413 and enqueues nothing, while the same
+// session still takes a one-job batch.
+func TestOversizedBatchRejected(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	sess, err := srv.CreateSession(Spec{SubmitOnly: true, HorizonSec: 60, EpochSec: 12, TimeScale: 16, PaceMS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		sess.Stop()
+		sess.Wait()
+	}()
+	submit := func(n int) int {
+		t.Helper()
+		jobs := make([]string, n)
+		for i := range jobs {
+			jobs[i] = "canneal"
+		}
+		payload, _ := json.Marshal(submitBody{Jobs: jobs})
+		resp, err := http.Post(ts.URL+"/v1/sessions/"+sess.ID+"/jobs", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := submit(maxBatchJobs + 1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("batch of %d: status %d, want 413", maxBatchJobs+1, code)
+	}
+	if n := sess.Status().Accepted; n != 0 {
+		t.Fatalf("oversized batch accepted %d jobs", n)
+	}
+	if code := submit(1); code != http.StatusAccepted {
+		t.Fatalf("one-job batch: status %d, want 202", code)
+	}
+}
+
+// TestQueueCapBounded checks that a queue_cap past MaxQueueCap is a spec
+// error, not an allocation: Resolve rejects it, and POST /v1/sessions
+// answers 400 without creating a session.
+func TestQueueCapBounded(t *testing.T) {
+	sp := Spec{SubmitOnly: true, HorizonSec: 60, EpochSec: 12, TimeScale: 16}
+	for _, qcap := range []int{-1, MaxQueueCap + 1, 1 << 62} {
+		sp.QueueCap = qcap
+		if _, err := sp.Resolve(); err == nil {
+			t.Errorf("queue_cap %d: Resolve accepted it", qcap)
+		}
+	}
+	sp.QueueCap = MaxQueueCap
+	if _, err := sp.Resolve(); err != nil {
+		t.Fatalf("queue_cap %d: %v", MaxQueueCap, err)
+	}
+
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	sp.QueueCap = 1 << 62
+	body, _ := json.Marshal(sp)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("queue_cap 1<<62: status %d, want 400", resp.StatusCode)
+	}
+	if n := len(srv.Sessions()); n != 0 {
+		t.Fatalf("rejected spec created %d sessions", n)
+	}
+}
+
+// TestSynthesizeFieldRejected pins that a session body carries a trace only
+// as CSV text: a trace.synthesize field is unknown and answers 400, so a
+// request cannot size an in-memory trace synthesis.
+func TestSynthesizeFieldRejected(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	body := `{"horizon_sec":60,"epoch_sec":12,"timescale":16,"trace":{"synthesize":{"jobs":10}}}`
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("synthesize spec: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestShadowReplayLibrary drives the non-HTTP shadow helper and checks the
 // verdict diffs are populated.
 func TestShadowReplayLibrary(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/approx-sched/pliant/internal/app"
 	"github.com/approx-sched/pliant/internal/export"
@@ -32,6 +31,11 @@ const DefaultMaxSessions = 16
 // legitimate body is a session spec carrying an inline trace CSV; a longer
 // body answers 413 instead of being buffered.
 const maxBodyBytes = 8 << 20
+
+// maxBatchJobs bounds the job names in one submit. The ingest queue counts
+// batches, not jobs, so without it one session could hold queue_cap batches
+// of maxBodyBytes each; a longer batch answers 413.
+const maxBatchJobs = 1024
 
 // serverMetrics is the daemon-level instrument set behind GET /metrics,
 // written with obs.WriteMetricsProm. The obs.Registry is not thread-safe, so
@@ -352,9 +356,9 @@ type submitBody struct {
 	Jobs []string `json:"jobs"`
 }
 
-// handleSubmit validates the batch against the catalog (400), then offers it
-// to the ingest queue: 202 accepted, 429 + Retry-After when the queue is
-// full, 409 when the session stopped accepting.
+// handleSubmit checks the batch's size (413) and validates it against the
+// catalog (400), then offers it to the ingest queue: 202 accepted, 429 +
+// Retry-After when the queue is full, 409 when the session stopped accepting.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *Session) {
 	var body submitBody
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
@@ -363,6 +367,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *Sess
 	}
 	if len(body.Jobs) == 0 {
 		httpError(w, http.StatusBadRequest, "submit at least one job name")
+		return
+	}
+	if len(body.Jobs) > maxBatchJobs {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d jobs exceeds %d", len(body.Jobs), maxBatchJobs))
 		return
 	}
 	for _, name := range body.Jobs {
@@ -422,14 +431,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, sess *Sess
 			return
 		}
 	}
-}
-
-// ListenAndServe runs the daemon on addr until the returned http.Server is
-// shut down. Exposed for cmd/pliant-served; tests use httptest with the
-// Server as handler.
-func (s *Server) ListenAndServe(addr string) (*http.Server, error) {
-	hs := &http.Server{Addr: addr, Handler: s, ReadHeaderTimeout: 10 * time.Second}
-	return hs, hs.ListenAndServe()
 }
 
 // bodyError answers a request body that failed to decode: 413 when it ran

@@ -97,8 +97,9 @@ type Spec struct {
 	// Trace replays an uploaded production trace as the arrival feed.
 	Trace *TraceSpec `json:"trace,omitempty"`
 
-	// QueueCap bounds the session's ingest queue (default 64); a full queue
-	// answers 429 + Retry-After instead of buffering unboundedly.
+	// QueueCap bounds the session's ingest queue (default 64, at most
+	// MaxQueueCap); a full queue answers 429 + Retry-After instead of
+	// buffering unboundedly.
 	QueueCap int `json:"queue_cap,omitempty"`
 
 	// PaceMS throttles the session to one scheduling window per this many
@@ -118,33 +119,20 @@ type OutageSpec struct {
 	DurationSec float64 `json:"duration_sec"`
 }
 
-// TraceSpec carries a production trace in the session body: either the CSV
-// text inline (an upload) or a synthesizer config (fixtures, demos), plus
-// the normalization knobs of the -trace-* flags.
+// TraceSpec carries a production trace in the session body: the CSV text
+// inline (an upload), plus the normalization knobs of the -trace-* flags.
 type TraceSpec struct {
 	// Format is the schema: google or azure (default google).
 	Format string `json:"format,omitempty"`
 
-	// CSV is the raw trace text. Mutually exclusive with Synthesize.
+	// CSV is the raw trace text.
 	CSV string `json:"csv,omitempty"`
-
-	// Synthesize generates a schema-exact fixture instead of an upload.
-	Synthesize *SynthSpec `json:"synthesize,omitempty"`
 
 	// RateScale compresses the time axis (0 = rescale so the last arrival
 	// lands at 90% of the horizon, as -trace-scale); MaxJobs down-samples
 	// (0 = twice the cluster's slots, as -trace-jobs).
 	RateScale float64 `json:"rate_scale,omitempty"`
 	MaxJobs   int     `json:"max_jobs,omitempty"`
-}
-
-// SynthSpec tunes the fixture generator (trace.SynthConfig as JSON).
-type SynthSpec struct {
-	Jobs        int     `json:"jobs,omitempty"`
-	SpanSec     float64 `json:"span_sec,omitempty"`
-	Seed        uint64  `json:"seed,omitempty"`
-	Orphans     float64 `json:"orphans,omitempty"`
-	FailureFrac float64 `json:"failure_frac,omitempty"`
 }
 
 // Resolved is a Spec lowered onto the scheduler's native config: everything
@@ -300,8 +288,8 @@ func (sp Spec) Resolve() (Resolved, error) {
 	if qcap == 0 {
 		qcap = DefaultQueueCap
 	}
-	if qcap < 1 {
-		return Resolved{}, fmt.Errorf("serve: queue_cap must be positive (got %d)", qcap)
+	if qcap < 1 || qcap > MaxQueueCap {
+		return Resolved{}, fmt.Errorf("serve: queue_cap must be in [1, %d] (got %d)", MaxQueueCap, qcap)
 	}
 
 	if sp.PaceMS < 0 {
@@ -317,8 +305,14 @@ func (sp Spec) Resolve() (Resolved, error) {
 	}, nil
 }
 
-// DefaultQueueCap bounds a session's ingest queue when the spec doesn't.
-const DefaultQueueCap = 64
+// DefaultQueueCap bounds a session's ingest queue when the spec doesn't;
+// MaxQueueCap is the largest queue_cap a spec may ask for. The queue is
+// allocated up front, so an unchecked value from a request body would size
+// that allocation.
+const (
+	DefaultQueueCap = 64
+	MaxQueueCap     = 4096
+)
 
 // silentArrivals is the never-firing job stream of submission-only sessions.
 type silentArrivals struct{}
@@ -481,24 +475,10 @@ func (ts *TraceSpec) load(horizonSec float64, slots int) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := ts.CSV
-	if ts.Synthesize != nil {
-		if text != "" {
-			return nil, fmt.Errorf("serve: trace csv and synthesize are mutually exclusive")
-		}
-		text = string(trace.Synthesize(trace.SynthConfig{
-			Format:      f,
-			Jobs:        ts.Synthesize.Jobs,
-			SpanSec:     ts.Synthesize.SpanSec,
-			Seed:        ts.Synthesize.Seed,
-			Orphans:     ts.Synthesize.Orphans,
-			FailureFrac: ts.Synthesize.FailureFrac,
-		}))
+	if ts.CSV == "" {
+		return nil, fmt.Errorf("serve: trace needs csv text")
 	}
-	if text == "" {
-		return nil, fmt.Errorf("serve: trace needs csv text or a synthesize config")
-	}
-	tr, err := trace.Parse(strings.NewReader(text), f)
+	tr, err := trace.Parse(strings.NewReader(ts.CSV), f)
 	if err != nil {
 		return nil, err
 	}

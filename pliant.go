@@ -586,8 +586,6 @@ type (
 	ServeSpec = serve.Spec
 	// ServeTraceSpec carries a production trace in a session spec.
 	ServeTraceSpec = serve.TraceSpec
-	// ServeSynthSpec tunes the spec's trace fixture generator.
-	ServeSynthSpec = serve.SynthSpec
 	// ServeOutageSpec is one scripted outage in a session spec.
 	ServeOutageSpec = serve.OutageSpec
 	// ServeResolved is a spec lowered onto the scheduler's native config.
@@ -605,7 +603,7 @@ type (
 )
 
 // NewServeServer returns an empty session manager; mount it on any net/http
-// server (it implements http.Handler) or call its ListenAndServe.
+// server (it implements http.Handler), as cmd/pliant-served does.
 func NewServeServer(opts ServeOptions) *ServeServer { return serve.NewServer(opts) }
 
 // ResolveServeSpec lowers a session spec exactly as the pliant-sched flags
